@@ -38,6 +38,44 @@ Status CheckpointedInterruption(const Status& why, const std::string& dir) {
                     " --resume to continue)");
 }
 
+/// The run's checkpoint manager, keyed by the input's identity and the run
+/// configuration; null when checkpointing is off.
+std::unique_ptr<CheckpointManager> MakeCheckpoint(
+    const NormalizerOptions& options, std::string source,
+    uint64_t source_size, int columns) {
+  if (!options.checkpoint.enabled()) return nullptr;
+  CheckpointFingerprint fp;
+  fp.source = std::move(source);
+  fp.source_size = source_size;
+  fp.backend = options.discovery_algorithm;
+  fp.max_lhs_size = options.discovery.max_lhs_size;
+  fp.shard_rows = options.shard.shard_rows;
+  fp.columns = columns;
+  return std::make_unique<CheckpointManager>(options.checkpoint,
+                                             std::move(fp));
+}
+
+/// `ctx` with `checkpoint` installed as its checkpoint hook (copied into
+/// `storage`), so stages flush interruption notes before unwinding.
+const RunContext* WithCheckpointHook(const RunContext* ctx,
+                                     CheckpointManager* checkpoint,
+                                     RunContext* storage) {
+  if (ctx == nullptr || checkpoint == nullptr) return ctx;
+  *storage = *ctx;
+  storage->checkpoint_hook = checkpoint;
+  return storage;
+}
+
+/// An in-memory input as the shards discovery and decomposition run on.
+/// With sharding configured, one slicing drives both partitioned discovery
+/// and the out-of-core decomposition — same result, bounded transient
+/// memory (FinishNormalization).
+std::vector<RelationData> InputShards(const RelationData& input,
+                                      size_t shard_rows) {
+  if (shard_rows > 0) return SliceIntoShards(input, shard_rows);
+  return std::vector<RelationData>(1, input);
+}
+
 }  // namespace
 
 std::string DecisionRecord::ToString(
@@ -93,138 +131,64 @@ void Normalizer::RecordDiscoveryStats(NormalizationStats* stats,
 
 Result<NormalizationResult> Normalizer::Normalize(const RelationData& input) {
   Stopwatch total_watch;
-  NormalizationResult result;
-  const RunContext* ctx = options_.context;
-
-  // With sharding requested, one slicing drives both partitioned discovery
-  // and the out-of-core decomposition — same result, bounded transient
-  // memory (FinishNormalization).
-  std::vector<RelationData> input_shards;
-  if (options_.shard.shard_rows > 0) {
-    input_shards = SliceIntoShards(input, options_.shard.shard_rows);
-  } else {
-    input_shards.push_back(input);
-  }
-
-  // Checkpointing mirrors NormalizeCsvFile, minus the ingest stage (the
-  // input is already in memory; the fingerprint still pins its identity).
-  std::optional<CheckpointManager> checkpoint;
+  // No ingest stage: the input is already in memory, and the fingerprint
+  // pins its identity.
+  std::unique_ptr<CheckpointManager> checkpoint = MakeCheckpoint(
+      options_, input.name(), input.num_rows(), input.num_columns());
   RunContext hook_ctx;
-  if (options_.checkpoint.enabled()) {
-    CheckpointFingerprint fp;
-    fp.source = input.name();
-    fp.source_size = input.num_rows();
-    fp.backend = options_.discovery_algorithm;
-    fp.max_lhs_size = options_.discovery.max_lhs_size;
-    fp.shard_rows = options_.shard.shard_rows;
-    fp.columns = input.num_columns();
-    checkpoint.emplace(options_.checkpoint, fp);
-    if (ctx != nullptr) {
-      hook_ctx = *ctx;
-      hook_ctx.checkpoint_hook = &*checkpoint;
-      ctx = &hook_ctx;
-    }
-  }
+  const RunContext* ctx =
+      WithCheckpointHook(options_.context, checkpoint.get(), &hook_ctx);
+  return DiscoverAndFinish(
+      input.name(), InputShards(input, options_.shard.shard_rows),
+      checkpoint.get(), ctx, NormalizationResult(), total_watch);
+}
+
+Result<NormalizationResult> Normalizer::DiscoverAndFinish(
+    const std::string& input_name, std::vector<RelationData> shards,
+    CheckpointManager* checkpoint, const RunContext* ctx,
+    NormalizationResult result, const Stopwatch& total_watch) {
+  NormalizationStats& stats = result.stats;
+  const bool resume = checkpoint != nullptr && options_.checkpoint.resume;
 
   // --- (1) FD discovery ---
+  // A checkpointed final cover supersedes discovery: the minimal cover is
+  // unique, and the decomposition is deterministic given cover + input.
   FdSet fds;
   bool cover_loaded = false;
-  if (checkpoint.has_value() && options_.checkpoint.resume) {
+  if (resume) {
     auto cover = checkpoint->LoadCover();
     if (cover.ok()) {
       fds = std::move(cover).value();
       cover_loaded = true;
-      result.stats.resumed = true;
-      result.stats.resumed_stages.push_back("cover");
-      RecordDiscoveryStats(&result.stats, fds, 0.0, PhaseMetrics());
+      stats.resumed = true;
+      stats.resumed_stages.push_back("cover");
+      RecordDiscoveryStats(&stats, fds, 0.0, PhaseMetrics());
     } else if (cover.status().code() != StatusCode::kNotFound) {
       return cover.status();
     }
   }
   if (!cover_loaded) {
-    // Resume state: the sharded merge path restores covers/PLIs/frontier;
-    // the plain backend path re-imports agree-set evidence (the negative
-    // cover, which fully determines the positive cover).
     DiscoveryResumeState resume_state;
-    std::vector<AttributeSet> resume_evidence;
-    if (checkpoint.has_value() && options_.checkpoint.resume) {
-      if (options_.shard.shard_rows > 0) {
-        auto loaded = checkpoint->LoadDiscoveryResume(input_shards.size());
-        if (!loaded.ok()) return loaded.status();
-        resume_state = std::move(loaded).value();
-        if (!resume_state.shard_covers.empty()) {
-          result.stats.resumed = true;
-          result.stats.resumed_stages.push_back("shard_covers");
-        }
-        if (resume_state.has_frontier) {
-          result.stats.resumed = true;
-          result.stats.resumed_stages.push_back("merge_frontier");
-        }
-      } else {
-        auto loaded = checkpoint->LoadEvidence();
-        if (loaded.ok()) {
-          resume_evidence = std::move(loaded).value();
-          if (!resume_evidence.empty()) {
-            result.stats.resumed = true;
-            result.stats.resumed_stages.push_back("evidence");
-          }
-        } else if (loaded.status().code() != StatusCode::kNotFound) {
-          return loaded.status();
-        }
+    if (resume) {
+      NORMALIZE_ASSIGN_OR_RETURN(
+          resume_state, checkpoint->LoadDiscoveryResume(shards.size()));
+      if (!resume_state.shard_covers.empty()) {
+        stats.resumed_stages.push_back("shard_covers");
       }
+      if (resume_state.has_frontier) {
+        stats.resumed_stages.push_back("merge_frontier");
+      } else if (!resume_state.agree_sets.empty()) {
+        stats.resumed_stages.push_back("evidence");
+      }
+      stats.resumed = !stats.resumed_stages.empty();
     }
-
-    // One attempt with the given options; completion reports interruptions.
-    auto run_discovery = [&](const FdDiscoveryOptions& opts,
-                             Status* completion) -> Result<FdSet> {
-      Stopwatch watch;
-      if (options_.shard.shard_rows > 0) {
-        ShardedDiscovery discovery(options_.discovery_algorithm, opts,
-                                   options_.shard);
-        if (checkpoint.has_value()) {
-          discovery.SetCheckpointSink(&*checkpoint);
-          discovery.SetResumeState(std::move(resume_state));
-          resume_state = DiscoveryResumeState{};
-        }
-        auto fds_result = discovery.Discover(input_shards);
-        if (!fds_result.ok()) return fds_result.status();
-        *completion = discovery.completion_status();
-        result.stats.plis_reused += discovery.stats().plis_reused;
-        RecordDiscoveryStats(&result.stats, *fds_result, watch.ElapsedSeconds(),
-                             discovery.phase_metrics());
-        return std::move(fds_result).value();
-      }
-      std::unique_ptr<FdDiscovery> discovery =
-          MakeFdDiscovery(options_.discovery_algorithm, opts);
-      if (discovery == nullptr) {
-        return Status::InvalidArgument("unknown discovery algorithm: " +
-                                       options_.discovery_algorithm);
-      }
-      if (!resume_evidence.empty()) {
-        discovery->ImportEvidence(std::move(resume_evidence));
-        resume_evidence.clear();
-      }
-      auto fds_result = discovery->Discover(input);
-      if (!fds_result.ok()) return fds_result.status();
-      *completion = discovery->completion_status();
-      if (checkpoint.has_value() && !completion->ok()) {
-        NORMALIZE_RETURN_IF_ERROR(
-            checkpoint->SaveEvidence(discovery->ExportEvidence()));
-      }
-      RecordDiscoveryStats(&result.stats, *fds_result, watch.ElapsedSeconds(),
-                           discovery->phase_metrics());
-      return std::move(fds_result).value();
-    };
-
     FdDiscoveryOptions discovery_options = options_.discovery;
-    discovery_options.pool = SharedPool();
     if (discovery_options.context == nullptr) discovery_options.context = ctx;
-
     Status completion;
-    auto fds_result = run_discovery(discovery_options, &completion);
-    if (!fds_result.ok()) return fds_result.status();
-    fds = std::move(fds_result).value();
-    if (checkpoint.has_value()) {
+    NORMALIZE_ASSIGN_OR_RETURN(
+        fds, RunDiscovery(shards, discovery_options, checkpoint,
+                          std::move(resume_state), &stats, &completion));
+    if (checkpoint != nullptr) {
       // A checkpointed run never degrades — degrading would finish with a
       // different schema than the checkpoint promises a resume will reach.
       if (!completion.ok()) {
@@ -234,7 +198,7 @@ Result<NormalizationResult> Normalizer::Normalize(const RelationData& input) {
       NORMALIZE_RETURN_IF_ERROR(checkpoint->SaveCover(fds));
     } else {
       NORMALIZE_RETURN_IF_ERROR(ApplyDiscoveryDegradation(
-          std::move(completion), &fds, &result.stats, run_discovery));
+          std::move(completion), shards, &fds, &stats));
     }
   }
 
@@ -242,14 +206,32 @@ Result<NormalizationResult> Normalizer::Normalize(const RelationData& input) {
   // remaining stage — run them to completion on what discovery produced,
   // but stay cancellable.
   RunContext fallback_ctx;
-  const RunContext* finish_ctx = ctx;
-  if (!result.stats.completion.ok() && ctx != nullptr) {
+  if (!stats.completion.ok() && ctx != nullptr) {
     fallback_ctx.cancel = ctx->cancel;
-    finish_ctx = &fallback_ctx;
+    ctx = &fallback_ctx;
   }
-  return FinishNormalization(input.name(), std::move(input_shards),
-                             std::move(fds), std::move(result), total_watch,
-                             finish_ctx);
+  return FinishNormalization(input_name, std::move(shards), std::move(fds),
+                             std::move(result), total_watch, ctx);
+}
+
+Result<FdSet> Normalizer::RunDiscovery(const std::vector<RelationData>& shards,
+                                       FdDiscoveryOptions options,
+                                       CheckpointManager* checkpoint,
+                                       DiscoveryResumeState resume,
+                                       NormalizationStats* stats,
+                                       Status* completion) {
+  options.pool = SharedPool();
+  Stopwatch watch;
+  ShardedDiscovery discovery(options_.discovery_algorithm, options,
+                             options_.shard);
+  discovery.SetCheckpointSink(checkpoint);
+  discovery.SetResumeState(std::move(resume));
+  NORMALIZE_ASSIGN_OR_RETURN(FdSet fds, discovery.Discover(shards));
+  *completion = discovery.completion_status();
+  stats->plis_reused += discovery.stats().plis_reused;
+  RecordDiscoveryStats(stats, fds, watch.ElapsedSeconds(),
+                       discovery.phase_metrics());
+  return fds;
 }
 
 int PickDegradedMaxLhs(const PhaseMetrics& discovery_phases,
@@ -285,9 +267,8 @@ int PickDegradedMaxLhs(const PhaseMetrics& discovery_phases,
 }
 
 Status Normalizer::ApplyDiscoveryDegradation(
-    Status completion, FdSet* fds, NormalizationStats* stats,
-    const std::function<Result<FdSet>(const FdDiscoveryOptions&, Status*)>&
-        rerun) {
+    Status completion, const std::vector<RelationData>& shards, FdSet* fds,
+    NormalizationStats* stats) {
   if (completion.ok()) return Status::OK();
   if (completion.code() == StatusCode::kCancelled) return completion;
 
@@ -317,11 +298,12 @@ Status Normalizer::ApplyDiscoveryDegradation(
       degraded_ctx.cancel = options_.context->cancel;
     }
     FdDiscoveryOptions degraded = options_.discovery;
-    degraded.pool = SharedPool();
     degraded.max_lhs_size = bound;
     degraded.context = &degraded_ctx;
     Status degraded_completion;
-    Result<FdSet> degraded_fds = rerun(degraded, &degraded_completion);
+    Result<FdSet> degraded_fds =
+        RunDiscovery(shards, degraded, /*checkpoint=*/nullptr,
+                     DiscoveryResumeState(), stats, &degraded_completion);
     if (!degraded_fds.ok()) return degraded_fds.status();
     if (degraded_completion.ok()) {
       *fds = std::move(degraded_fds).value();
@@ -354,55 +336,33 @@ Result<NormalizationResult> Normalizer::RenormalizeWithCover(
     const RelationData& input, FdSet cover) {
   Stopwatch total_watch;
   NormalizationResult result;
-  // Same slicing as Normalize(): with sharding configured the decomposition
-  // loop stays out-of-core; the result is bit-identical either way.
-  std::vector<RelationData> input_shards;
-  if (options_.shard.shard_rows > 0) {
-    input_shards = SliceIntoShards(input, options_.shard.shard_rows);
-  } else {
-    input_shards.push_back(input);
-  }
   // Discovery already happened (incrementally); its cost is reported as 0
   // here — bench_churn charges maintenance per batch instead.
   RecordDiscoveryStats(&result.stats, cover, 0.0, PhaseMetrics());
-  return FinishNormalization(input.name(), std::move(input_shards),
-                             std::move(cover), std::move(result), total_watch,
-                             options_.context);
+  return FinishNormalization(
+      input.name(), InputShards(input, options_.shard.shard_rows),
+      std::move(cover), std::move(result), total_watch, options_.context);
 }
 
 Result<NormalizationResult> Normalizer::NormalizeCsvFile(
     const std::string& path, const CsvOptions& csv_options) {
   Stopwatch total_watch;
   NormalizationResult result;
-  const RunContext* ctx = options_.context;
-
-  // Checkpointing: one manager per run, keyed by a fingerprint of the input
-  // file and the run configuration. Installed as the context's checkpoint
-  // hook so stages flush interruption notes before unwinding.
-  std::optional<CheckpointManager> checkpoint;
+  // The column count is unknown before ingest, so CSV fingerprints key it
+  // as 0 and pin the input by path and file size.
+  std::error_code ec;
+  uint64_t size = std::filesystem::file_size(path, ec);
+  if (ec) size = 0;
+  std::unique_ptr<CheckpointManager> checkpoint =
+      MakeCheckpoint(options_, path, size, /*columns=*/0);
   RunContext hook_ctx;
-  if (options_.checkpoint.enabled()) {
-    CheckpointFingerprint fp;
-    fp.source = path;
-    std::error_code ec;
-    uint64_t size = std::filesystem::file_size(path, ec);
-    fp.source_size = ec ? 0 : size;
-    fp.backend = options_.discovery_algorithm;
-    fp.max_lhs_size = options_.discovery.max_lhs_size;
-    fp.shard_rows = options_.shard.shard_rows;
-    fp.columns = 0;  // unknown before ingest; constant for CSV fingerprints
-    checkpoint.emplace(options_.checkpoint, fp);
-    if (ctx != nullptr) {
-      hook_ctx = *ctx;
-      hook_ctx.checkpoint_hook = &*checkpoint;
-      ctx = &hook_ctx;
-    }
-  }
+  const RunContext* ctx =
+      WithCheckpointHook(options_.context, checkpoint.get(), &hook_ctx);
 
   Stopwatch watch;
   ShardedRelation sharded;
   bool ingest_loaded = false;
-  if (checkpoint.has_value() && options_.checkpoint.resume) {
+  if (checkpoint != nullptr && options_.checkpoint.resume) {
     auto loaded = checkpoint->LoadIngest();
     if (loaded.ok()) {
       sharded = std::move(loaded).value();
@@ -421,7 +381,7 @@ Result<NormalizationResult> Normalizer::NormalizeCsvFile(
     if (!ingest_result.ok()) return ingest_result.status();
     sharded = std::move(ingest_result).value();
     result.stats.ingest_retries = ingest_retries;
-    if (checkpoint.has_value()) {
+    if (checkpoint != nullptr) {
       NORMALIZE_RETURN_IF_ERROR(checkpoint->SaveIngest(sharded));
     }
   }
@@ -429,92 +389,11 @@ Result<NormalizationResult> Normalizer::NormalizeCsvFile(
   result.stats.phases.Record("shard_ingest", watch.ElapsedSeconds(),
                              sharded.total_rows);
 
-  // A checkpointed final cover supersedes discovery: the minimal cover is
-  // unique, and the decomposition is deterministic given cover + input.
-  FdSet fds;
-  bool cover_loaded = false;
-  if (checkpoint.has_value() && options_.checkpoint.resume) {
-    auto cover = checkpoint->LoadCover();
-    if (cover.ok()) {
-      fds = std::move(cover).value();
-      cover_loaded = true;
-      result.stats.resumed = true;
-      result.stats.resumed_stages.push_back("cover");
-      RecordDiscoveryStats(&result.stats, fds, 0.0, PhaseMetrics());
-    } else if (cover.status().code() != StatusCode::kNotFound) {
-      return cover.status();
-    }
-  }
-  if (!cover_loaded) {
-    DiscoveryResumeState resume_state;
-    if (checkpoint.has_value() && options_.checkpoint.resume) {
-      auto loaded = checkpoint->LoadDiscoveryResume(sharded.shards.size());
-      if (!loaded.ok()) return loaded.status();
-      resume_state = std::move(loaded).value();
-      if (!resume_state.shard_covers.empty()) {
-        result.stats.resumed = true;
-        result.stats.resumed_stages.push_back("shard_covers");
-      }
-      if (resume_state.has_frontier) {
-        result.stats.resumed = true;
-        result.stats.resumed_stages.push_back("merge_frontier");
-      }
-    }
-
-    auto run_discovery = [&](const FdDiscoveryOptions& opts,
-                             Status* completion) -> Result<FdSet> {
-      Stopwatch discovery_watch;
-      ShardedDiscovery discovery(options_.discovery_algorithm, opts,
-                                 options_.shard);
-      if (checkpoint.has_value()) {
-        discovery.SetCheckpointSink(&*checkpoint);
-        discovery.SetResumeState(std::move(resume_state));
-        resume_state = DiscoveryResumeState{};
-      }
-      auto fds_result = discovery.Discover(sharded.shards);
-      if (!fds_result.ok()) return fds_result.status();
-      *completion = discovery.completion_status();
-      result.stats.plis_reused += discovery.stats().plis_reused;
-      RecordDiscoveryStats(&result.stats, *fds_result,
-                           discovery_watch.ElapsedSeconds(),
-                           discovery.phase_metrics());
-      return std::move(fds_result).value();
-    };
-
-    FdDiscoveryOptions discovery_options = options_.discovery;
-    discovery_options.pool = SharedPool();
-    if (discovery_options.context == nullptr) discovery_options.context = ctx;
-
-    Status completion;
-    auto fds_result = run_discovery(discovery_options, &completion);
-    if (!fds_result.ok()) return fds_result.status();
-    fds = std::move(fds_result).value();
-    if (checkpoint.has_value()) {
-      // A checkpointed run never degrades — degrading would finish with a
-      // different schema than the checkpoint promises a resume will reach.
-      if (!completion.ok()) {
-        checkpoint->OnInterruption(completion);
-        return CheckpointedInterruption(completion, options_.checkpoint.dir);
-      }
-      NORMALIZE_RETURN_IF_ERROR(checkpoint->SaveCover(fds));
-    } else {
-      NORMALIZE_RETURN_IF_ERROR(ApplyDiscoveryDegradation(
-          std::move(completion), &fds, &result.stats, run_discovery));
-    }
-  }
-
-  RunContext fallback_ctx;
-  const RunContext* finish_ctx = ctx;
-  if (!result.stats.completion.ok() && ctx != nullptr) {
-    fallback_ctx.cancel = ctx->cancel;
-    finish_ctx = &fallback_ctx;
-  }
-
   // Decomposition works directly on the ingest shards — the input is never
   // stitched into one relation; only the final result's instances are.
-  return FinishNormalization(sharded.name, std::move(sharded.shards),
-                             std::move(fds), std::move(result), total_watch,
-                             finish_ctx);
+  return DiscoverAndFinish(sharded.name, std::move(sharded.shards),
+                           checkpoint.get(), ctx, std::move(result),
+                           total_watch);
 }
 
 Result<NormalizationResult> Normalizer::FinishNormalization(
@@ -830,18 +709,6 @@ Result<NormalizationResult> Normalizer::FinishNormalization(
   stats.phases.Record("key_derivation", stats.key_derivation_total_s);
   stats.phases.Record("violation_detection", stats.violation_detection_total_s);
   return result;
-}
-
-Result<std::vector<NormalizationResult>> Normalizer::NormalizeAll(
-    const std::vector<RelationData>& inputs) {
-  std::vector<NormalizationResult> results;
-  results.reserve(inputs.size());
-  for (const RelationData& input : inputs) {
-    auto r = Normalize(input);
-    if (!r.ok()) return r.status();
-    results.push_back(std::move(r).value());
-  }
-  return results;
 }
 
 }  // namespace normalize

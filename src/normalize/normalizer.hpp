@@ -9,7 +9,6 @@
 // Steps (3)-(6) loop until no relation violates the target normal form.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -31,6 +30,8 @@
 
 namespace normalize {
 
+class CheckpointManager;
+struct DiscoveryResumeState;
 class ThreadPool;
 
 struct NormalizerOptions {
@@ -77,10 +78,11 @@ struct NormalizerOptions {
   bool adaptive_degradation = true;
   /// Persistent pipeline state (src/persist/): with a checkpoint directory
   /// set, NormalizeCsvFile() and Normalize() persist each completed stage
-  /// (ingest shards, per-shard covers + PLIs, merge frontier, final cover),
-  /// and an interrupted run returns its interruption instead of degrading —
-  /// rerunning with `checkpoint.resume` continues from the last completed
-  /// stage and produces the schema an uninterrupted run would have.
+  /// (ingest shards, per-shard covers + PLIs, merge frontier or a one-shard
+  /// run's evidence, final cover), and an interrupted run returns its
+  /// interruption instead of degrading — rerunning with
+  /// `checkpoint.resume` continues from the last completed stage and
+  /// produces the schema an uninterrupted run would have.
   CheckpointOptions checkpoint;
   /// Run the correctness auditor (audit/decomposition_auditor.hpp) on the
   /// finished result: chase-based lossless-join proof, instance rejoin,
@@ -221,10 +223,6 @@ class Normalizer {
   Result<NormalizationResult> RenormalizeWithCover(const RelationData& input,
                                                    FdSet cover);
 
-  /// Convenience: normalizes several independent instances.
-  Result<std::vector<NormalizationResult>> NormalizeAll(
-      const std::vector<RelationData>& inputs);
-
   /// Streams a CSV file through the sharded ingest (text buffer bounded by
   /// options.shard.memory_budget_bytes), discovers FDs per shard with
   /// merge-and-validate, and normalizes. With shard_rows == 0 this is
@@ -243,15 +241,33 @@ class Normalizer {
                             double seconds,
                             const PhaseMetrics& discovery_phases);
 
+  /// The stage every driver ends in: component (1) on `shards`, then
+  /// FinishNormalization. Resumes the final cover, or else the discovery
+  /// state, from `checkpoint` (null = not checkpointed); runs discovery;
+  /// then checkpoints the cover, or without a checkpoint walks the
+  /// deadline-degradation ladder. `ctx` is the run's context, carrying the
+  /// checkpoint hook.
+  Result<NormalizationResult> DiscoverAndFinish(
+      const std::string& input_name, std::vector<RelationData> shards,
+      CheckpointManager* checkpoint, const RunContext* ctx,
+      NormalizationResult result, const Stopwatch& total_watch);
+
+  /// One ShardedDiscovery run over `shards` with `options` on the shared
+  /// pool, reporting to `checkpoint` (may be null) and resuming `resume`.
+  /// Records the discovery statistics; `completion` reports interruptions.
+  Result<FdSet> RunDiscovery(const std::vector<RelationData>& shards,
+                             FdDiscoveryOptions options,
+                             CheckpointManager* checkpoint,
+                             DiscoveryResumeState resume,
+                             NormalizationStats* stats, Status* completion);
+
   /// The deadline-degradation ladder after discovery. `completion` is the
-  /// discovery run's completion status; `rerun` re-executes discovery with
-  /// degraded options and reports its completion through the out-param.
-  /// Returns kCancelled to abort the run; otherwise OK, with `fds`/`stats`
-  /// updated to the cover the pipeline should continue on.
-  Status ApplyDiscoveryDegradation(
-      Status completion, FdSet* fds, NormalizationStats* stats,
-      const std::function<Result<FdSet>(const FdDiscoveryOptions&, Status*)>&
-          rerun);
+  /// discovery run's completion status; a bounded rerun goes over the same
+  /// `shards`. Returns kCancelled to abort the run; otherwise OK, with
+  /// `fds`/`stats` updated to the cover the pipeline should continue on.
+  Status ApplyDiscoveryDegradation(Status completion,
+                                   const std::vector<RelationData>& shards,
+                                   FdSet* fds, NormalizationStats* stats);
 
   /// Components (2)-(7) on pre-discovered FDs; discovery statistics must
   /// already be recorded in result.stats. `input_shards` is the instance as

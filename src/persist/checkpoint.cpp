@@ -63,9 +63,36 @@ Status CheckpointManager::OnMergeLevel(
   return writer.WriteToFile(options_.dir + "/frontier.snap");
 }
 
+Status CheckpointManager::OnEvidence(
+    const std::vector<AttributeSet>& agree_sets) {
+  SnapshotEncoder enc;
+  EncodeAttributeSetVector(&enc, agree_sets);
+  SnapshotWriter writer;
+  AddFingerprintSection(&writer, fingerprint_);
+  writer.AddSection(kSectionEvidence, std::move(enc).bytes());
+  return writer.WriteToFile(options_.dir + "/evidence.snap");
+}
+
 Result<DiscoveryResumeState> CheckpointManager::LoadDiscoveryResume(
     size_t shard_count) {
   DiscoveryResumeState state;
+
+  if (shard_count == 1) {
+    // A one-shard run checkpoints nothing but its backend's evidence.
+    auto evidence = OpenVerifiedSnapshot(options_.dir + "/evidence.snap",
+                                         fingerprint_);
+    if (!evidence.ok()) {
+      if (evidence.status().code() == StatusCode::kNotFound) return state;
+      return evidence.status();
+    }
+    NORMALIZE_ASSIGN_OR_RETURN(std::string_view bytes,
+                               evidence->Section(kSectionEvidence));
+    SnapshotDecoder dec(bytes);
+    NORMALIZE_ASSIGN_OR_RETURN(state.agree_sets,
+                               DecodeAttributeSetVector(&dec));
+    NORMALIZE_RETURN_IF_ERROR(dec.ExpectEnd());
+    return state;
+  }
 
   auto covers = OpenVerifiedSnapshot(options_.dir + "/covers.snap",
                                      fingerprint_);
@@ -123,29 +150,6 @@ Result<DiscoveryResumeState> CheckpointManager::LoadDiscoveryResume(
   state.last_complete_level = level;
   state.has_frontier = true;
   return state;
-}
-
-Status CheckpointManager::SaveEvidence(
-    const std::vector<AttributeSet>& evidence) {
-  SnapshotEncoder enc;
-  EncodeAttributeSetVector(&enc, evidence);
-  SnapshotWriter writer;
-  AddFingerprintSection(&writer, fingerprint_);
-  writer.AddSection(kSectionEvidence, std::move(enc).bytes());
-  return writer.WriteToFile(options_.dir + "/evidence.snap");
-}
-
-Result<std::vector<AttributeSet>> CheckpointManager::LoadEvidence() {
-  NORMALIZE_ASSIGN_OR_RETURN(
-      SnapshotReader reader,
-      OpenVerifiedSnapshot(options_.dir + "/evidence.snap", fingerprint_));
-  NORMALIZE_ASSIGN_OR_RETURN(std::string_view bytes,
-                             reader.Section(kSectionEvidence));
-  SnapshotDecoder dec(bytes);
-  NORMALIZE_ASSIGN_OR_RETURN(std::vector<AttributeSet> evidence,
-                             DecodeAttributeSetVector(&dec));
-  NORMALIZE_RETURN_IF_ERROR(dec.ExpectEnd());
-  return evidence;
 }
 
 Status CheckpointManager::SaveCover(const FdSet& cover) {

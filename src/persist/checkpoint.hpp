@@ -9,15 +9,17 @@
 //   ingest.snap, shard_<i>.snap, pli_<i>.snap   — ShardStore (rows + PLIs)
 //   covers.snap      per-shard minimal covers after the discovery fan-out
 //   frontier.snap    merge candidate tree + evidence after each level
-//   evidence.snap    unsharded HyFD agree-set evidence (negative cover)
+//   evidence.snap    an interrupted one-shard run's backend agree-set
+//                    evidence (negative cover), from either driver
 //   cover.snap       the final global minimal cover
 //   interrupted.snap why the previous run stopped (written by the hook)
 //
 // The manager implements both checkpoint interfaces of the pipeline:
-// DiscoveryCheckpointSink (called by ShardedDiscovery between merge sweeps)
-// and CheckpointHook (called via RunContext::NotifyInterruption when an
-// interruption ends the run). Sink calls happen on the coordinating thread;
-// the hook may race with them in principle, so its latch is mutex-guarded.
+// DiscoveryCheckpointSink (called by ShardedDiscovery between merge sweeps
+// and when a one-shard run is interrupted) and CheckpointHook (called via
+// RunContext::NotifyInterruption when an interruption ends the run). Sink
+// calls happen on the coordinating thread; the hook may race with them in
+// principle, so its latch is mutex-guarded.
 #pragma once
 
 #include <cstdint>
@@ -86,19 +88,15 @@ class CheckpointManager : public DiscoveryCheckpointSink,
       const std::vector<std::shared_ptr<const PliCache>>& shard_plis) override;
   Status OnMergeLevel(int level, const std::vector<Fd>& frontier_fds,
                       const std::vector<AttributeSet>& agree_sets) override;
+  Status OnEvidence(const std::vector<AttributeSet>& agree_sets) override;
 
   /// Assembles whatever discovery state the directory holds into a resume
   /// state for ShardedDiscovery: covers (skips the fan-out), per-shard PLIs
-  /// (skips the rebuild), and the merge frontier (skips validated levels).
-  /// A directory with none of it yields a default state (fresh run);
-  /// corruption and fingerprint mismatches propagate as errors.
+  /// (skips the rebuild), and the merge frontier (skips validated levels);
+  /// for one shard, the backend's evidence (evidence.snap). A directory
+  /// with none of it yields a default state (fresh run); corruption and
+  /// fingerprint mismatches propagate as errors.
   Result<DiscoveryResumeState> LoadDiscoveryResume(size_t shard_count);
-
-  /// Unsharded runs checkpoint the backend's agree-set evidence instead of
-  /// per-shard state (FdDiscovery::ExportEvidence/ImportEvidence).
-  Status SaveEvidence(const std::vector<AttributeSet>& evidence);
-  /// kNotFound when no evidence was checkpointed.
-  Result<std::vector<AttributeSet>> LoadEvidence();
 
   /// The final global minimal cover — once this exists, a resumed run skips
   /// discovery entirely (the cover uniquely determines the decomposition).

@@ -221,24 +221,6 @@ ShardedDiscovery::ShardedDiscovery(std::string backend,
       shard_options_(shard_options) {}
 
 Result<FdSet> ShardedDiscovery::Discover(const RelationData& data) {
-  if (shard_options_.shard_rows == 0 ||
-      shard_options_.shard_rows >= data.num_rows()) {
-    stats_ = Stats{};
-    phase_metrics_.Clear();
-    completion_ = Status::OK();
-    stats_.shard_count = 1;
-    auto algo = MakeFdDiscovery(backend_, options_);
-    if (!algo) {
-      return Status::InvalidArgument("unknown discovery algorithm: " +
-                                     backend_);
-    }
-    auto result = algo->Discover(data);
-    if (result.ok()) {
-      phase_metrics_.MergeFrom(algo->phase_metrics());
-      completion_ = algo->completion_status();
-    }
-    return result;
-  }
   return Discover(SliceIntoShards(data, shard_options_.shard_rows));
 }
 
@@ -267,16 +249,28 @@ Result<FdSet> ShardedDiscovery::Discover(
       }
     }
   }
+  // Consume any installed resume state (one-shot: a second Discover() call
+  // starts fresh unless the caller installs new state).
+  DiscoveryResumeState resume = std::move(resume_);
+  resume_ = DiscoveryResumeState{};
   if (shards.size() == 1) {
+    // A plain backend run. Its agree-set evidence fully determines its
+    // cover, so that evidence is all an interrupted run checkpoints and
+    // all a resumed run imports.
     auto algo = MakeFdDiscovery(backend_, options_);
     if (!algo) {
       return Status::InvalidArgument("unknown discovery algorithm: " +
                                      backend_);
     }
+    if (!resume.agree_sets.empty()) {
+      algo->ImportEvidence(std::move(resume.agree_sets));
+    }
     auto result = algo->Discover(first);
-    if (result.ok()) {
-      phase_metrics_.MergeFrom(algo->phase_metrics());
-      completion_ = algo->completion_status();
+    if (!result.ok()) return result;
+    phase_metrics_.MergeFrom(algo->phase_metrics());
+    completion_ = algo->completion_status();
+    if (sink_ != nullptr && !completion_.ok()) {
+      NORMALIZE_RETURN_IF_ERROR(sink_->OnEvidence(algo->ExportEvidence()));
     }
     return result;
   }
@@ -310,10 +304,6 @@ Result<FdSet> ShardedDiscovery::Discover(
   }
   const RunContext* ctx = options_.context;
 
-  // Consume any installed resume state (one-shot: a second Discover() call
-  // starts fresh unless the caller installs new state).
-  DiscoveryResumeState resume = std::move(resume_);
-  resume_ = DiscoveryResumeState{};
   if (!resume.shard_covers.empty() && resume.shard_covers.size() != k) {
     return Status::FailedPrecondition(
         "resume state has " + std::to_string(resume.shard_covers.size()) +

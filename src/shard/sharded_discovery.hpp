@@ -44,13 +44,20 @@
 
 namespace normalize {
 
-/// Receives checkpoint-worthy state during a sharded merge run. All calls
-/// happen on the coordinating thread, strictly between merge sweeps (never
-/// while workers run). A non-OK return aborts the run with that status —
-/// a checkpoint that cannot be written must not silently evaporate.
+/// Receives checkpoint-worthy state during a discovery run. All calls
+/// happen on the coordinating thread, strictly between merge sweeps or
+/// after the backend run (never while workers run). A non-OK return aborts
+/// the run with that status — a checkpoint that cannot be written must not
+/// silently evaporate.
 class DiscoveryCheckpointSink {
  public:
   virtual ~DiscoveryCheckpointSink() = default;
+
+  /// After an interrupted single-shard run: the backend's agree-set
+  /// evidence (its negative cover, which fully determines the positive
+  /// cover), imported again by a resumed run via
+  /// DiscoveryResumeState::agree_sets.
+  virtual Status OnEvidence(const std::vector<AttributeSet>& agree_sets) = 0;
 
   /// After the per-shard fan-out completes: every shard's minimal cover and
   /// the PLI caches the merge will validate against. Covers are in global
@@ -67,7 +74,7 @@ class DiscoveryCheckpointSink {
                               const std::vector<AttributeSet>& agree_sets) = 0;
 };
 
-/// Previously checkpointed state to resume a sharded merge run from.
+/// Previously checkpointed state to resume a discovery run from.
 /// Default-constructed = nothing to resume (fresh run).
 struct DiscoveryResumeState {
   /// Per-shard minimal covers (global attribute space). Non-empty skips the
@@ -81,6 +88,8 @@ struct DiscoveryResumeState {
   bool has_frontier = false;
   std::vector<Fd> frontier_fds;
   int last_complete_level = -1;
+  /// With a frontier, the merge's evidence; for a single shard, the
+  /// backend's evidence to import before it runs.
   std::vector<AttributeSet> agree_sets;
 };
 
@@ -138,21 +147,21 @@ class ShardedDiscovery {
   Result<FdSet> Discover(const std::vector<RelationData>& shards);
 
   /// Convenience: slices `data` into shard_options.shard_rows-row shards
-  /// (sharing its dictionaries) and merges. shard_rows == 0 or >= num_rows
-  /// runs the backend directly.
+  /// (sharing its dictionaries) and discovers over them. shard_rows == 0 or
+  /// >= num_rows makes a single shard.
   Result<FdSet> Discover(const RelationData& data);
 
   const Stats& stats() const { return stats_; }
   const PhaseMetrics& phase_metrics() const { return phase_metrics_; }
 
-  /// Installs a checkpoint sink (not owned; may be null to detach). The
-  /// multi-shard Discover() path reports state through it; the degenerate
-  /// single-shard paths do not (callers checkpoint the backend's evidence
-  /// directly via FdDiscovery::ExportEvidence).
+  /// Installs a checkpoint sink (not owned; may be null to detach). A
+  /// multi-shard Discover() reports its shard state and every validated
+  /// merge level; a single-shard one reports its backend's evidence when
+  /// interrupted.
   void SetCheckpointSink(DiscoveryCheckpointSink* sink) { sink_ = sink; }
 
-  /// Installs resume state consumed by the next multi-shard Discover()
-  /// call. Covers sized unlike the shard count fail that call with
+  /// Installs resume state consumed by the next Discover() call. Covers
+  /// sized unlike the shard count fail a multi-shard call with
   /// kFailedPrecondition rather than silently rediscovering.
   void SetResumeState(DiscoveryResumeState state) {
     resume_ = std::move(state);

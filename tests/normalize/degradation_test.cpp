@@ -14,6 +14,7 @@
 #include "common/run_context.hpp"
 #include "normalize/normalizer.hpp"
 #include "relation/csv.hpp"
+#include "shard/sharded_csv.hpp"
 #include "test_util.hpp"
 
 namespace normalize {
@@ -42,45 +43,77 @@ const RelationData& DenormalizedInput() {
   return *data;
 }
 
-TEST(DeadlineDegradationTest, DeadlineMidDiscoveryDegradesToBoundedRerun) {
+/// The two pipeline drivers; both end in the same discovery stage, so a
+/// deadline in discovery must degrade the same way through either.
+enum class Driver { kNormalize, kNormalizeCsvFile };
+
+/// Runs DenormalizedInput() through `driver` with a deadline injected at the
+/// `nth` context check of discovery. NormalizeCsvFile also polls the context
+/// while it ingests, and an interruption there fails the run instead of
+/// degrading, so its index is offset past the ingest's checks.
+Result<NormalizationResult> RunWithDeadlineInDiscovery(
+    Driver driver, NormalizerOptions options, uint64_t nth) {
+  // One file per test case: ctest runs the cases concurrently.
+  std::string path =
+      ::testing::TempDir() + "/" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".csv";
+  if (driver == Driver::kNormalizeCsvFile) {
+    std::ofstream(path, std::ios::binary)
+        << CsvWriter().WriteString(DenormalizedInput());
+    FaultInjector counter;
+    RunContext counting;
+    counting.faults = &counter;
+    ShardedCsvReader reader(CsvOptions(), options.shard, &counting);
+    EXPECT_TRUE(reader.ReadFile(path).ok());
+    nth += counter.checks();
+  }
   FaultInjector faults;
-  faults.InterruptAtNthCheck(2, StatusCode::kDeadlineExceeded);
+  faults.InterruptAtNthCheck(nth, StatusCode::kDeadlineExceeded);
   RunContext ctx;
   ctx.faults = &faults;
-
-  NormalizerOptions options;
-  options.discovery.threads = 1;
   options.context = &ctx;
-  ASSERT_TRUE(options.degrade_on_deadline);
   Normalizer normalizer(options);
-  auto result = normalizer.Normalize(DenormalizedInput());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto result = driver == Driver::kNormalize
+                    ? normalizer.Normalize(DenormalizedInput())
+                    : normalizer.NormalizeCsvFile(path);
+  std::remove(path.c_str());
+  return result;
+}
 
-  // The run degraded instead of failing: the stats carry the deadline, the
-  // skip log says what was curtailed, and the discovery was rerun bounded.
-  EXPECT_EQ(result->stats.completion.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_FALSE(result->stats.skipped.empty());
-  EXPECT_TRUE(result->stats.degraded_discovery);
-  EXPECT_FALSE(result->schema.relations().empty());
-  EXPECT_GT(result->stats.num_fds, 0u);
+TEST(DeadlineDegradationTest, DeadlineMidDiscoveryDegradesToBoundedRerun) {
+  for (Driver driver : {Driver::kNormalize, Driver::kNormalizeCsvFile}) {
+    SCOPED_TRACE(driver == Driver::kNormalize ? "Normalize"
+                                              : "NormalizeCsvFile");
+    NormalizerOptions options;
+    options.discovery.threads = 1;
+    ASSERT_TRUE(options.degrade_on_deadline);
+    auto result = RunWithDeadlineInDiscovery(driver, options, 2);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+    // The run degraded instead of failing: the stats carry the deadline,
+    // the skip log says what was curtailed, and the discovery was rerun
+    // bounded.
+    EXPECT_EQ(result->stats.completion.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_FALSE(result->stats.skipped.empty());
+    EXPECT_TRUE(result->stats.degraded_discovery);
+    EXPECT_FALSE(result->schema.relations().empty());
+    EXPECT_GT(result->stats.num_fds, 0u);
+  }
 }
 
 TEST(DeadlineDegradationTest, DisabledFallbackContinuesOnPartialCover) {
-  FaultInjector faults;
-  faults.InterruptAtNthCheck(2, StatusCode::kDeadlineExceeded);
-  RunContext ctx;
-  ctx.faults = &faults;
-
-  NormalizerOptions options;
-  options.discovery.threads = 1;
-  options.context = &ctx;
-  options.degrade_on_deadline = false;
-  Normalizer normalizer(options);
-  auto result = normalizer.Normalize(DenormalizedInput());
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->stats.completion.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_FALSE(result->stats.degraded_discovery);
-  EXPECT_FALSE(result->stats.skipped.empty());
+  for (Driver driver : {Driver::kNormalize, Driver::kNormalizeCsvFile}) {
+    SCOPED_TRACE(driver == Driver::kNormalize ? "Normalize"
+                                              : "NormalizeCsvFile");
+    NormalizerOptions options;
+    options.discovery.threads = 1;
+    options.degrade_on_deadline = false;
+    auto result = RunWithDeadlineInDiscovery(driver, options, 2);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result->stats.completion.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_FALSE(result->stats.degraded_discovery);
+    EXPECT_FALSE(result->stats.skipped.empty());
+  }
 }
 
 TEST(DeadlineDegradationTest, CompletedRunReportsOkCompletion) {

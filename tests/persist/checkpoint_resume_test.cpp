@@ -218,21 +218,69 @@ TEST(CheckpointResumeFaultTest, ResumeFromFinalCoverSkipsDiscovery) {
 }
 
 // The CSV streaming path: interrupted ingest+discovery resumes from the
-// spilled shard store, skipping the re-parse, to the identical schema.
+// spilled shard store, skipping the re-parse, to the identical schema. With
+// four shards discovery resumes from the merge state; with one shard
+// (shard_rows = 0) it resumes from the backend's checkpointed evidence.
 TEST(CheckpointResumeFaultTest, CsvPipelineResumesFromSpilledShards) {
   RelationData input = DatasetInput("musicbrainz");
   std::string path = ::testing::TempDir() + "/ckpt_csv_input.csv";
   ASSERT_TRUE(CsvWriter().WriteFile(input, path).ok());
 
+  for (size_t shard_rows : {input.num_rows() / 4 + 1, size_t{0}}) {
+    SCOPED_TRACE("shard_rows=" + std::to_string(shard_rows));
+    NormalizerOptions base;
+    base.discovery.max_lhs_size = 2;
+    base.discovery.threads = 1;
+    base.shard.shard_rows = shard_rows;
+
+    auto reference = Normalizer(base).NormalizeCsvFile(path);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+
+    std::string dir = FreshDir("ckpt_csv_" + std::to_string(shard_rows));
+    {
+      FaultInjector faults;
+      faults.InterruptAtNthCheck(30, StatusCode::kDeadlineExceeded);
+      RunContext ctx;
+      ctx.faults = &faults;
+      NormalizerOptions interrupted = base;
+      interrupted.context = &ctx;
+      interrupted.checkpoint.dir = dir;
+      auto result = Normalizer(interrupted).NormalizeCsvFile(path);
+      ASSERT_FALSE(result.ok());
+      EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+      // The ingest completed before the interruption, so the shards are on
+      // disk for the resumed run.
+      EXPECT_TRUE(std::filesystem::exists(dir + "/ingest.snap"));
+    }
+
+    NormalizerOptions resumed = base;
+    resumed.checkpoint.dir = dir;
+    resumed.checkpoint.resume = true;
+    auto result = Normalizer(resumed).NormalizeCsvFile(path);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->stats.resumed);
+    if (shard_rows == 0) {
+      EXPECT_EQ(result->stats.resumed_stages,
+                (std::vector<std::string>{"ingest", "evidence"}));
+    }
+    ExpectIdenticalResults(*result, *reference);
+  }
+  std::filesystem::remove(path);
+}
+
+// An in-memory run whose single shard holds every row checkpoints and
+// resumes the backend's evidence, exactly like an unsharded run.
+TEST(CheckpointResumeFaultTest, OneShardNormalizeResumesFromEvidence) {
+  RelationData input = DatasetInput("musicbrainz");
   NormalizerOptions base;
   base.discovery.max_lhs_size = 2;
   base.discovery.threads = 1;
-  base.shard.shard_rows = input.num_rows() / 4 + 1;
+  base.shard.shard_rows = input.num_rows() + 1;
 
-  auto reference = Normalizer(base).NormalizeCsvFile(path);
+  auto reference = Normalizer(base).Normalize(input);
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
 
-  std::string dir = FreshDir("ckpt_csv");
+  std::string dir = FreshDir("ckpt_one_shard");
   {
     FaultInjector faults;
     faults.InterruptAtNthCheck(30, StatusCode::kDeadlineExceeded);
@@ -241,22 +289,20 @@ TEST(CheckpointResumeFaultTest, CsvPipelineResumesFromSpilledShards) {
     NormalizerOptions interrupted = base;
     interrupted.context = &ctx;
     interrupted.checkpoint.dir = dir;
-    auto result = Normalizer(interrupted).NormalizeCsvFile(path);
+    auto result = Normalizer(interrupted).Normalize(input);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
-    // The ingest completed before the interruption, so the shards are on
-    // disk for the resumed run.
-    EXPECT_TRUE(std::filesystem::exists(dir + "/ingest.snap"));
+    EXPECT_TRUE(std::filesystem::exists(dir + "/evidence.snap"));
   }
 
   NormalizerOptions resumed = base;
   resumed.checkpoint.dir = dir;
   resumed.checkpoint.resume = true;
-  auto result = Normalizer(resumed).NormalizeCsvFile(path);
+  auto result = Normalizer(resumed).Normalize(input);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_TRUE(result->stats.resumed);
+  EXPECT_EQ(result->stats.resumed_stages,
+            (std::vector<std::string>{"evidence"}));
   ExpectIdenticalResults(*result, *reference);
-  std::filesystem::remove(path);
 }
 
 // Resuming against a different input or configuration must fail loudly.
